@@ -98,7 +98,6 @@ class ShardSnapshot:
         }
 
 
-# agora: shard-safe
 def snapshot_shard(
     shard_id: int,
     registry: MetricsRegistry,

@@ -27,19 +27,16 @@ from typing import Any, Dict, Optional
 SHARD_SPAN_STRIDE = 1 << 40
 
 
-# agora: shard-safe
 def shard_of(span_id: int) -> int:
     """Shard that allocated ``span_id`` (namespace block index)."""
     return span_id // SHARD_SPAN_STRIDE
 
 
-# agora: shard-safe
 def seq_of(span_id: int) -> int:
     """Per-shard sequence number of ``span_id`` inside its namespace."""
     return span_id % SHARD_SPAN_STRIDE
 
 
-# agora: shard-safe
 def derive_trace_id(seed: int, scope: str = "") -> str:
     """Deterministic 16-hex trace id from a seed and an optional scope.
 

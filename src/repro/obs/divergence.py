@@ -221,7 +221,6 @@ class DivergenceReport:
         }
 
 
-# agora: shard-safe
 def _differing_fields(left: Dict[str, Any], right: Dict[str, Any]) -> List[str]:
     """Sorted keys on which two parsed log entries disagree."""
     keys = set(left) | set(right)
@@ -231,7 +230,6 @@ def _differing_fields(left: Dict[str, Any], right: Dict[str, Any]) -> List[str]:
     )
 
 
-# agora: shard-safe
 def _stream_deltas(
     left: Dict[str, int], right: Dict[str, int]
 ) -> List[StreamDelta]:
@@ -244,7 +242,6 @@ def _stream_deltas(
     ]
 
 
-# agora: shard-safe
 def _span_stack(span_id: Optional[int], spans: Optional[Sequence[Span]]) -> Optional[str]:
     """``root > … > leaf`` rendering of a span's ancestor chain."""
     if span_id is None or spans is None:
@@ -377,7 +374,6 @@ def find_divergence(
     return report
 
 
-# agora: shard-safe
 def _counters_at_or_after(recording: FlightRecording, position: int) -> Dict[str, int]:
     """Stream counters from the first checkpoint at/after ``position``.
 
@@ -394,7 +390,6 @@ def _counters_at_or_after(recording: FlightRecording, position: int) -> Dict[str
     }
 
 
-# agora: shard-safe
 def _matching_context(
     recording: FlightRecording, position: int, context: int
 ) -> List[Dict[str, Any]]:
@@ -475,7 +470,6 @@ def align_runs(
     )
 
 
-# agora: shard-safe
 def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
     """One-line rendering of a parsed log entry."""
     if entry is None:
@@ -494,7 +488,6 @@ def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
     )
 
 
-# agora: shard-safe
 def render_report(report: DivergenceReport) -> str:
     """Human-readable rendering of one shard's divergence report."""
     head = f"shard {report.shard_id}: "
@@ -551,7 +544,6 @@ def render_report(report: DivergenceReport) -> str:
     return "\n".join(lines)
 
 
-# agora: shard-safe
 def render_alignment(alignment: RunAlignment) -> str:
     """Human-readable rendering of a whole-run alignment."""
     lines = [

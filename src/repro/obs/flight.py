@@ -51,7 +51,6 @@ DEFAULT_CHECKPOINT_INTERVAL = 64
 DEFAULT_CHUNK_LINES = 4096
 
 
-# agora: shard-safe
 def callback_identity(action: Callable[..., Any]) -> str:
     """Deterministic ``module:qualname`` identity of an event callback.
 
@@ -185,8 +184,6 @@ class FlightRecorder:
         return [dict(entry) for entry in self._checkpoints]
 
     # -- recording (kernel hot path) ---------------------------------------
-    # agora: worker-local per-run event log; recordings are compared
-    # across runs/shards only after export
     def record(
         self,
         seq: int,

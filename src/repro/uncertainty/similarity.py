@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 
-# agora: shard-safe
 def dot_kernel(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two 1-D vectors, bitwise-stable under batching.
 
@@ -29,7 +28,6 @@ def dot_kernel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("j,j->", a, b))
 
 
-# agora: shard-safe
 def batch_dot_kernel(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Row-wise dot products of ``matrix`` against ``vector``.
 
@@ -40,7 +38,6 @@ def batch_dot_kernel(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", matrix, vector)
 
 
-# agora: shard-safe
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of two vectors mapped to [0, 1] (0.5 = orthogonal)."""
     a = np.asarray(a, dtype=float)
@@ -54,7 +51,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float((1.0 + dot_kernel(a, b) / (na * nb)) / 2.0)
 
 
-# agora: shard-safe
 def nonnegative_cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine for non-negative vectors (already in [0, 1])."""
     a = np.asarray(a, dtype=float)
@@ -68,7 +64,6 @@ def nonnegative_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(dot_kernel(a, b) / (na * nb), 0.0, 1.0))
 
 
-# agora: shard-safe
 def batch_nonnegative_cosine(
     matrix: np.ndarray,
     row_norms: np.ndarray,
@@ -93,7 +88,6 @@ def batch_nonnegative_cosine(
     return np.where(row_norms == 0, 0.0, cosines)
 
 
-# agora: shard-safe
 def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
     """Jaccard index of two term sets."""
     set_a, set_b = set(a), set(b)
@@ -103,7 +97,6 @@ def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
     return len(set_a & set_b) / len(union)
 
 
-# agora: shard-safe
 def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     """Weighted Jaccard (Ruzicka) similarity of two weighted bags.
 
@@ -121,7 +114,6 @@ def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return minimum / maximum
 
 
-# agora: shard-safe
 def sublinear_tf(terms: Mapping[str, int]) -> Dict[str, float]:
     """Sublinear (1 + log) term-frequency weighting."""
     return {
@@ -131,15 +123,14 @@ def sublinear_tf(terms: Mapping[str, int]) -> Dict[str, float]:
     }
 
 
-# agora: shard-safe
 def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     """Cosine similarity of two sparse weighted bags, in [0, 1].
 
     The dot product accumulates over the shared keys in *sorted* order:
-    set iteration order follows per-process string-hash randomization,
-    and float addition is not associative, so an unsorted reduction can
-    differ in the last ulp between the coordinator and a spawned shard
-    worker.  A canonical order makes the score a pure function of the
+    set iteration order follows per-process string-hash randomization
+    (``PYTHONHASHSEED``), and float addition is not associative, so an
+    unsorted reduction can differ in the last ulp between two runs of the
+    same seed.  A canonical order makes the score a pure function of the
     bags, byte-for-byte, in every process.
     """
     if not a or not b:
@@ -153,13 +144,11 @@ def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return float(np.clip(dot / (norm_a * norm_b), 0.0, 1.0))
 
 
-# agora: shard-safe
 def bag_norm(bag: Mapping[str, float]) -> float:
     """Euclidean norm of a sparse weighted bag (cacheable per item)."""
     return float(np.sqrt(sum(v * v for v in bag.values())))
 
 
-# agora: shard-safe
 def batch_bag_cosine(
     query_bag: Mapping[str, float],
     candidate_bags: Sequence[Mapping[str, float]],
