@@ -17,7 +17,9 @@ manifests — attest it with::
 
 With ``--flight`` the queries are scheduled on the virtual timeline
 (churn on, so background events interleave) and the kernel's flight
-recorder streams a byte-stable per-event log to ``runs/<name>/flight/``.
+recorder streams a byte-stable per-event log to ``runs/<name>/flight/``;
+the sim-time profiler and the QoS SLO monitor are on too, adding
+``profile.folded``/``profile.json`` and ``slo.json``.
 ``--fault-at T`` injects a node outage at virtual time ``T``; a run
 without the flag installs the same script beyond the horizon so the two
 runs' event seqs stay aligned and the first divergence *is* the fault::
@@ -52,6 +54,7 @@ def record(
     agora = build_agora(
         seed=seed, n_sources=8, items_per_source=12, calibration_pairs=0,
         enable_tracing=True, enable_churn=flight, enable_flight_recorder=flight,
+        enable_profiling=flight, enable_slos=flight,
     )
     rng = np.random.default_rng(seed + 1)
     for node in agora.topology.nodes[:-1]:  # keep the consumer node up
@@ -95,6 +98,7 @@ def record(
     manifest = agora.run_manifest(scenario="observability-demo")
     return export_run(
         out, manifest, registry=agora.sim.metrics, tracer=agora.tracer,
+        profiler=agora.profiler, slo_report=agora.slo_report(),
         flight=agora.flight,
     )
 

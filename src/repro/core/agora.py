@@ -30,7 +30,6 @@ from repro.net.topology import (
     small_world_topology,
     star_topology,
 )
-from repro.obs.context import derive_trace_id
 from repro.obs.flight import FlightRecorder
 from repro.obs.manifest import RunManifest, config_digest
 from repro.obs.profile import SimProfiler
@@ -61,9 +60,7 @@ class Agora:
     def __init__(self, config: AgoraConfig):
         self.config = config
         self.tracer: Optional[SpanTracer] = (
-            SpanTracer(trace_id=derive_trace_id(config.seed))
-            if config.enable_tracing
-            else None
+            SpanTracer() if config.enable_tracing else None
         )
         self.profiler: Optional[SimProfiler] = (
             SimProfiler() if config.enable_profiling else None

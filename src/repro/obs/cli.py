@@ -2,9 +2,8 @@
 
 Subcommands
 -----------
-``summary <manifest.json> [--by-shard]``
-    Print a run's provenance header and its metric snapshot; with
-    ``--by-shard``, also the per-shard sections of a merged manifest.
+``summary <manifest.json>``
+    Print a run's provenance header and its metric snapshot.
 ``spans <spans.jsonl>``
     Render the exported span forest as an indented causal tree.
 ``diff <left-manifest.json> <right-manifest.json>``
@@ -16,8 +15,8 @@ Subcommands
     Render an exported SLO burn-rate report; with ``--strict``, exit 1
     when any SLO is critical (the default stays observe-only).
 ``divergence <left> <right> [--context K] [--json]``
-    Align two flight recordings (or two run directories holding one
-    recording per shard) and name the first event at which they stop
+    Compare two flight recordings (or two run directories holding one
+    under ``flight/``) and name the first event at which they stop
     being bitwise-identical; exit 0 identical, 1 diverged.
 
 Exit codes: 0 success (and clean diff / non-breached strict slo /
@@ -42,7 +41,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.obs.divergence import align_runs, render_alignment
+from repro.obs.divergence import find_divergence, load_recording, render_report
 from repro.obs.export import load_manifest, load_spans_jsonl
 from repro.obs.manifest import RunManifest, canonical_json, diff_manifests
 from repro.obs.profile import parse_folded
@@ -100,7 +99,7 @@ def render_span_tree(spans: Sequence[Span], limit: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def _render_summary(manifest: RunManifest, top: int, by_shard: bool = False) -> str:
+def _render_summary(manifest: RunManifest, top: int) -> str:
     lines = [
         f"seed:           {manifest.seed}",
         f"config digest:  {manifest.config_digest}",
@@ -108,19 +107,6 @@ def _render_summary(manifest: RunManifest, top: int, by_shard: bool = False) -> 
         f"events:         {manifest.event_count}",
         f"spans:          {manifest.span_count}",
     ]
-    if by_shard:
-        if not manifest.shards:
-            lines.append("shards:         (single-process run: no per-shard sections)")
-        else:
-            lines.append(f"shards ({len(manifest.shards)}):")
-            for shard_id in sorted(manifest.shards, key=int):
-                section = manifest.shards[shard_id]
-                lines.append(
-                    f"  shard {shard_id}: sim_time={section.get('sim_time', 0.0):g} "
-                    f"events={section.get('event_count', 0)} "
-                    f"spans={section.get('span_count', 0)} "
-                    f"dropped={section.get('dropped_spans', 0)}"
-                )
     metrics: Dict[str, Any] = manifest.metrics
     counters: Dict[str, float] = dict(metrics.get("counters", {}))
     if counters:
@@ -152,11 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     summary.add_argument("manifest", help="path to manifest.json")
     summary.add_argument(
         "--top", type=int, default=10, help="how many metrics to show (default 10)"
-    )
-    summary.add_argument(
-        "--by-shard",
-        action="store_true",
-        help="also print the per-shard sections of a merged manifest",
     )
 
     spans = subparsers.add_parser("spans", help="render an exported span tree")
@@ -205,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     divergence.add_argument(
         "--json",
         action="store_true",
-        help="emit the alignment as canonical JSON instead of text",
+        help="emit the report as canonical JSON instead of text",
     )
     return parser
 
@@ -235,7 +216,7 @@ def _render_slo(report: SLOReport, strict: bool) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "summary":
         manifest = _load_artifact(load_manifest, args.manifest)
-        print(_render_summary(manifest, top=args.top, by_shard=args.by_shard))
+        print(_render_summary(manifest, top=args.top))
         return 0
     if args.command == "spans":
         spans = _load_artifact(load_spans_jsonl, args.spans)
@@ -263,14 +244,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = _load_artifact(load_slo_report, args.report)
         return _render_slo(report, strict=args.strict)
     if args.command == "divergence":
-        alignment = _load_artifact(
-            align_runs, args.left, args.right, context=args.context
+        report = _load_artifact(
+            lambda left, right: find_divergence(
+                load_recording(left), load_recording(right), context=args.context
+            ),
+            args.left,
+            args.right,
         )
         if args.json:
-            print(canonical_json(alignment.to_dict()))
+            print(canonical_json(report.to_dict()))
         else:
-            print(render_alignment(alignment))
-        return 0 if alignment.identical else 1
+            print(f"left : {args.left}")
+            print(f"right: {args.right}")
+            print(render_report(report))
+            if report.identical:
+                print("recordings are bitwise-identical")
+        return 0 if report.identical else 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

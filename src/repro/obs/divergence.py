@@ -1,7 +1,7 @@
 """First-divergence debugger over flight recordings.
 
 Given two recordings written by :class:`repro.obs.flight.FlightRecorder`
-(or two run directories holding one recording per shard), this module
+(or two run directories holding one under ``flight/``), this module
 answers "**where** did these runs stop being bitwise-identical?":
 
 1. If the footer digests match, the recordings are identical — done.
@@ -61,11 +61,6 @@ class FlightRecording:
     spans: Optional[List[Span]] = None
 
     @property
-    def shard_id(self) -> int:
-        """Namespace index of the process that recorded this log."""
-        return int(self.footer.get("shard_id", 0))
-
-    @property
     def digest(self) -> str:
         """Final rolling digest over every log line."""
         return str(self.footer["digest"])
@@ -81,13 +76,17 @@ class FlightRecording:
 
 
 def load_recording(path: PathLike) -> FlightRecording:
-    """Load and integrity-check one recording directory.
+    """Load and integrity-check one recording.
 
+    ``path`` is a recording directory (holding ``footer.json``) or a run
+    directory holding one under ``flight/`` (the ``export_run`` layout).
     Verifies the footer's rolling digest against the chunk bytes, so a
     corrupt or hand-edited recording fails loudly (``ValueError``)
     instead of producing a nonsense alignment.
     """
     directory = Path(path)
+    if (directory / "flight" / FOOTER_FILE).is_file():
+        directory = directory / "flight"
     footer_path = directory / FOOTER_FILE
     if not footer_path.is_file():
         raise ValueError(f"not a flight recording (no {FOOTER_FILE}): {directory}")
@@ -127,36 +126,6 @@ def load_recording(path: PathLike) -> FlightRecording:
     return recording
 
 
-def discover_recordings(path: PathLike) -> Dict[int, FlightRecording]:
-    """Map shard id → recording for a recording or run directory.
-
-    Accepts either a recording directory itself (containing
-    ``footer.json``), or a run directory containing ``flight/`` and/or
-    ``shard-*/flight/`` sub-recordings (the layout produced by
-    ``export_run`` and the sharded demo).
-    """
-    root = Path(path)
-    if (root / FOOTER_FILE).is_file():
-        recording = load_recording(root)
-        return {recording.shard_id: recording}
-    candidates = [root / "flight"]
-    candidates.extend(sorted(root.glob("shard-*/flight")))
-    recordings: Dict[int, FlightRecording] = {}
-    for candidate in candidates:
-        if not (candidate / FOOTER_FILE).is_file():
-            continue
-        recording = load_recording(candidate)
-        if recording.shard_id in recordings:
-            raise ValueError(
-                f"duplicate shard id {recording.shard_id} under {root} "
-                f"({recordings[recording.shard_id].path} vs {recording.path})"
-            )
-        recordings[recording.shard_id] = recording
-    if not recordings:
-        raise ValueError(f"no flight recordings found under {root}")
-    return recordings
-
-
 @dataclass(frozen=True)
 class StreamDelta:
     """One RNG stream whose draw counters disagree at the fork."""
@@ -172,16 +141,13 @@ class StreamDelta:
 
 @dataclass
 class DivergenceReport:
-    """Where (and how) one shard's recordings stop matching.
+    """Where (and how) two recordings stop matching.
 
     ``kind`` is one of ``identical``, ``event`` (an event record
-    differs), ``rng-checkpoint`` (only per-stream counters differ),
-    ``truncated`` (one log is a strict prefix of the other) or
-    ``missing-left`` / ``missing-right`` (the shard exists on one side
-    only).
+    differs), ``rng-checkpoint`` (only per-stream counters differ) or
+    ``truncated`` (one log is a strict prefix of the other).
     """
 
-    shard_id: int
     kind: str
     left_events: int = 0
     right_events: int = 0
@@ -198,14 +164,14 @@ class DivergenceReport:
 
     @property
     def identical(self) -> bool:
-        """Whether this shard's recordings are bitwise-identical."""
+        """Whether the two recordings are bitwise-identical."""
         return self.kind == "identical"
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for ``--json`` output."""
         return {
-            "shard_id": self.shard_id,
             "kind": self.kind,
+            "identical": self.identical,
             "left_events": self.left_events,
             "right_events": self.right_events,
             "index": self.index,
@@ -292,9 +258,7 @@ def find_divergence(
     context: int = DEFAULT_CONTEXT,
 ) -> DivergenceReport:
     """Locate the first divergent log entry between two recordings."""
-    shard_id = left.shard_id
     report = DivergenceReport(
-        shard_id=shard_id,
         kind="identical",
         left_events=left.events,
         right_events=right.events,
@@ -404,72 +368,6 @@ def _matching_context(
     return list(reversed(matched))
 
 
-@dataclass
-class RunAlignment:
-    """Per-shard divergence reports for two runs."""
-
-    left_path: str
-    right_path: str
-    reports: List[DivergenceReport]
-
-    @property
-    def identical(self) -> bool:
-        """Whether every shard's recordings are bitwise-identical."""
-        return all(report.identical for report in self.reports)
-
-    def first_divergence(self) -> Optional[DivergenceReport]:
-        """The divergent report with the lowest shard id, if any."""
-        for report in self.reports:
-            if not report.identical:
-                return report
-        return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for ``--json`` output."""
-        return {
-            "left": self.left_path,
-            "right": self.right_path,
-            "identical": self.identical,
-            "reports": [report.to_dict() for report in self.reports],
-        }
-
-
-def align_runs(
-    left_path: PathLike,
-    right_path: PathLike,
-    context: int = DEFAULT_CONTEXT,
-) -> RunAlignment:
-    """Compare all shards of two runs (single recordings included)."""
-    left_map = discover_recordings(left_path)
-    right_map = discover_recordings(right_path)
-    reports: List[DivergenceReport] = []
-    for shard_id in sorted(set(left_map) | set(right_map)):
-        left = left_map.get(shard_id)
-        right = right_map.get(shard_id)
-        if left is None:
-            assert right is not None
-            reports.append(
-                DivergenceReport(
-                    shard_id=shard_id,
-                    kind="missing-left",
-                    right_events=right.events,
-                )
-            )
-        elif right is None:
-            reports.append(
-                DivergenceReport(
-                    shard_id=shard_id,
-                    kind="missing-right",
-                    left_events=left.events,
-                )
-            )
-        else:
-            reports.append(find_divergence(left, right, context=context))
-    return RunAlignment(
-        left_path=str(left_path), right_path=str(right_path), reports=reports
-    )
-
-
 def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
     """One-line rendering of a parsed log entry."""
     if entry is None:
@@ -489,33 +387,22 @@ def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
 
 
 def render_report(report: DivergenceReport) -> str:
-    """Human-readable rendering of one shard's divergence report."""
-    head = f"shard {report.shard_id}: "
+    """Human-readable rendering of a divergence report."""
     if report.identical:
-        return (
-            head + f"identical ({report.left_events} events, digests match)"
-        )
+        return f"identical ({report.left_events} events, digests match)"
     lines: List[str] = []
-    if report.kind == "missing-left":
-        lines.append(head + "recording missing on the left side")
-        return "\n".join(lines)
-    if report.kind == "missing-right":
-        lines.append(head + "recording missing on the right side")
-        return "\n".join(lines)
     if report.kind == "truncated":
         lines.append(
-            head
-            + f"DIVERGED — one recording is a prefix of the other "
+            "DIVERGED — one recording is a prefix of the other "
             f"(left {report.left_events} vs right {report.right_events} events)"
         )
     elif report.kind == "rng-checkpoint":
         lines.append(
-            head
-            + "DIVERGED at an RNG accounting checkpoint "
+            "DIVERGED at an RNG accounting checkpoint "
             "(event records match; streams traded draws)"
         )
     else:
-        lines.append(head + f"DIVERGED at log entry {report.index}")
+        lines.append(f"DIVERGED at log entry {report.index}")
     if report.window is not None:
         lines.append(
             f"  window: entries {report.window[0]}..{report.window[1]} "
@@ -543,15 +430,3 @@ def render_report(report: DivergenceReport) -> str:
             lines.append(f"    {_render_entry(entry)}")
     return "\n".join(lines)
 
-
-def render_alignment(alignment: RunAlignment) -> str:
-    """Human-readable rendering of a whole-run alignment."""
-    lines = [
-        f"left : {alignment.left_path}",
-        f"right: {alignment.right_path}",
-    ]
-    for report in alignment.reports:
-        lines.append(render_report(report))
-    if alignment.identical:
-        lines.append("runs are bitwise-identical")
-    return "\n".join(lines)

@@ -16,7 +16,7 @@ from repro.core import Consumer
 from repro.core.builder import build_agora
 from repro.data import reset_item_ids
 from repro.net import reset_message_ids
-from repro.obs import align_runs, diff_manifests, load_recording
+from repro.obs import diff_manifests, find_divergence, load_recording
 from repro.obs.flight import FOOTER_FILE
 from repro.personalization import UserProfile
 from repro.query import reset_query_ids
@@ -29,7 +29,8 @@ HORIZON = QUERY_SPACING * (N_QUERIES + 1)
 
 
 def record_run(out_dir, seed=11, fault_at=None, availability=0.5):
-    """Mirror ``examples/observability_demo.py --flight`` into ``out_dir``.
+    """Mirror ``examples/observability_demo.py --flight`` into ``out_dir``
+    (without its profiler and SLO monitor).
 
     The fault script is installed *unconditionally* (a clean run fires it
     beyond the horizon) so clean and mutant runs push identical event
@@ -103,11 +104,13 @@ class TestByteStability:
             right = (root / "b" / "flight" / name).read_bytes()
             assert left == right, name
 
-    def test_alignment_reports_identical(self, twin_runs):
+    def test_divergence_reports_identical(self, twin_runs):
         root = twin_runs["root"]
-        alignment = align_runs(root / "a", root / "b")
-        assert alignment.identical
-        assert alignment.first_divergence() is None
+        report = find_divergence(
+            load_recording(root / "a"), load_recording(root / "b")
+        )
+        assert report.identical
+        assert report.index is None
 
     def test_manifest_flight_digest_matches_footer(self, twin_runs):
         root = twin_runs["root"]
@@ -125,10 +128,10 @@ class TestByteStability:
 class TestFaultPinpointing:
     def test_first_divergence_is_exactly_the_injected_event(self, twin_runs):
         root = twin_runs["root"]
-        alignment = align_runs(root / "a", root / "m")
-        assert not alignment.identical
-        report = alignment.first_divergence()
-        assert report is not None
+        report = find_divergence(
+            load_recording(root / "a"), load_recording(root / "m")
+        )
+        assert not report.identical
         assert report.kind == "event"
 
         # Ground truth: an exhaustive linear scan over every log entry,
@@ -151,7 +154,9 @@ class TestFaultPinpointing:
 
     def test_report_carries_causal_context(self, twin_runs):
         root = twin_runs["root"]
-        report = align_runs(root / "a", root / "m").first_divergence()
+        report = find_divergence(
+            load_recording(root / "a"), load_recording(root / "m")
+        )
         # RNG attribution: the retry/jitter machinery consumed different
         # randomness once the outage landed.
         assert report.streams, "expected disagreeing RNG streams"

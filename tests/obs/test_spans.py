@@ -31,6 +31,20 @@ class TestSpanBasics:
             pass
         assert [s.span_id for s in tracer.spans()] == [0, 1]
 
+    def test_ids_are_zero_to_n_minus_one_in_record_order(self):
+        tracer = SpanTracer()
+        with tracer.span("query") as root:
+            with tracer.span("plan"):
+                tracer.event("bid")
+            tracer.resume(root.span_id)
+            with tracer.span("retry"):
+                pass
+            tracer.release()
+        tracer.event("done")
+        spans = tracer.spans()
+        assert [s.name for s in spans] == ["query", "plan", "bid", "retry", "done"]
+        assert [s.span_id for s in spans] == list(range(len(spans)))
+
     def test_clock_stamps_start_and_end(self):
         now = [1.5]
         tracer = SpanTracer(clock=lambda: now[0])
