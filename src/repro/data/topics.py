@@ -105,6 +105,36 @@ class TopicSpace:
             return 0.0
         return float(np.dot(a, b) / (na * nb))
 
+    def relevance_many(
+        self, a: np.ndarray, rows: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`relevance` of ``a`` against each of ``rows``, in one pass.
+
+        Validation is :meth:`validate` applied to every vector, and an
+        invalid input raises the error that validating ``a`` and then each
+        row in order would raise first.  The arithmetic is einsum, not BLAS,
+        so an element may differ from the scalar :meth:`relevance` in the
+        last few ulps; callers that need the scalar's exact answer near a
+        cutoff must re-decide those rows with :meth:`relevance`.
+        """
+        a = self.validate(a)
+        shape = (len(rows), self.n_topics)
+        try:
+            matrix = np.array(rows, dtype=float)
+        except ValueError:  # ragged rows
+            matrix = np.zeros(0)
+        if matrix.shape != shape or np.any(matrix < -1e-12):
+            # row by row, so the first invalid row raises its own error
+            matrix = np.array([self.validate(row) for row in rows]).reshape(shape)
+        matrix = np.clip(matrix, 0.0, None)
+        na = np.linalg.norm(a)
+        if na == 0:
+            return np.zeros(len(rows))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            scores = np.einsum("ij,j->i", matrix, a) / (norms * na)
+        return np.where(norms == 0, 0.0, scores)
+
     def peak_topic(self, vector: np.ndarray) -> str:
         """Name of the dominant topic of ``vector``."""
         vector = self.validate(vector)

@@ -19,6 +19,7 @@ from repro.data.items import InformationItem
 from repro.data.topics import TopicSpace
 from repro.qos.vector import QoSVector
 from repro.query.model import Query
+from repro.uncertainty.pruning import PAD_ABSOLUTE, PAD_RELATIVE
 
 
 @dataclass
@@ -52,8 +53,28 @@ class RelevanceOracle:
     def relevant_subset(
         self, query: Query, items: Iterable[InformationItem]
     ) -> List[InformationItem]:
-        """Items truly relevant to the query."""
-        return [item for item in items if self.is_relevant(query, item)]
+        """Items truly relevant to the query.
+
+        Exactly ``[i for i in items if self.is_relevant(query, i)]``, worked
+        out in one batched pass: a row whose batched relevance lies farther
+        from the threshold than the pruning layer's float padding is
+        decided by it, and the rest are re-decided by the scalar
+        :meth:`is_relevant` (DESIGN §2f).
+        """
+        items = list(items)
+        if not items:
+            return []
+        threshold = self.relevance_threshold
+        scores = self.topic_space.relevance_many(
+            self._intent(query), [item.latent for item in items]
+        )
+        margin = abs(threshold) * PAD_RELATIVE + PAD_ABSOLUTE
+        keep = scores >= threshold
+        # NaN scores fail both comparisons and are re-decided too
+        near = ~((scores > threshold + margin) | (scores < threshold - margin))
+        for index in np.flatnonzero(near).tolist():
+            keep[index] = self.is_relevant(query, items[index])
+        return [item for item, kept in zip(items, keep.tolist()) if kept]
 
     def _intent(self, query: Query) -> np.ndarray:
         if query.intent_latent is not None:

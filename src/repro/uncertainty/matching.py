@@ -63,7 +63,7 @@ from repro.uncertainty.similarity import (
 )
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, MetricsRegistry
 
 #: default bound for per-item derived-state caches (vectors are tiny, so
 #: this is a few MB at most; long simulations stop leaking memory)
@@ -95,14 +95,24 @@ class LruCache:
         self.evictions = 0
         self._data: "OrderedDict[object, object]" = OrderedDict()
         self._metrics: Optional["MetricsRegistry"] = None
+        #: registry counters already resolved, by event; a counter is
+        #: created on its first event, never at bind time
+        self._counters: Dict[str, "Counter"] = {}
 
     def bind_metrics(self, metrics: Optional["MetricsRegistry"]) -> None:
         """Mirror this cache's counters into ``metrics`` from now on."""
         self._metrics = metrics
+        self._counters = {}
 
     def _count(self, event: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"matching.cache.{self.name}.{event}").inc()
+        if self._metrics is None:
+            return
+        counter = self._counters.get(event)
+        if counter is None:
+            counter = self._counters[event] = self._metrics.counter(
+                f"matching.cache.{self.name}.{event}"
+            )
+        counter.inc()
 
     def get_or_compute(self, key: object, compute: Callable[[], object]) -> object:
         """Cached value for ``key``, computing and inserting on miss."""

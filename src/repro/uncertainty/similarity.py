@@ -14,7 +14,7 @@ batched matchers guarantee *exact* float parity with the pairwise path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -161,27 +161,33 @@ def batch_bag_cosine(
     cached values.  Element ``i`` is bitwise equal to
     ``bag_cosine(query_bag, candidate_bags[i])`` — including the sorted
     shared-key reduction order that keeps scores hash-seed-independent
-    across processes.
+    across processes: the query's keys are sorted once, and filtering them
+    by membership in each bag visits the shared keys in that same order.
     """
     n = len(candidate_bags)
     scores = np.zeros(n)
     if n == 0 or not query_bag:
         return scores
-    query_keys = set(query_bag)
     query_norm = bag_norm(query_bag)
     if query_norm == 0:
         return scores
-    norms: List[float] = (
-        list(candidate_norms)
+    query_terms = sorted(query_bag.items())
+    norms: Sequence[float] = (
+        candidate_norms
         if candidate_norms is not None
         else [bag_norm(bag) for bag in candidate_bags]
     )
     for i, bag in enumerate(candidate_bags):
         if not bag or norms[i] == 0:
             continue
-        shared = sorted(query_keys & set(bag))
-        dot = sum(query_bag[k] * bag[k] for k in shared)
-        scores[i] = float(np.clip(dot / (query_norm * norms[i]), 0.0, 1.0))
+        dot = sum(weight * bag[k] for k, weight in query_terms if k in bag)
+        score = dot / (query_norm * norms[i])
+        # np.clip without the scalar round trip (NaN passes through too)
+        if score > 1.0:
+            score = 1.0
+        elif score < 0.0:
+            score = 0.0
+        scores[i] = score
     return scores
 
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.uncertainty import (
     EnsembleSimilarity,
     bag_cosine,
+    bag_norm,
+    batch_bag_cosine,
     cosine_similarity,
     jaccard_similarity,
     nonnegative_cosine,
@@ -89,6 +91,62 @@ class TestBagCosine:
         assert weights["a"] == pytest.approx(1.0)
         assert weights["b"] == pytest.approx(1.0 + np.log(10))
         assert "zero" not in weights
+
+
+#: arbitrary non-negative weights, including exact zeros, subnormals and
+#: magnitudes whose squares overflow
+weights = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+#: a small key alphabet, so random bags overlap
+bags = st.dictionaries(st.text("abcdef", min_size=1, max_size=2), weights, max_size=8)
+
+
+@st.composite
+def query_and_candidates(draw):
+    """A query bag plus candidates of every shape the kernel branches on."""
+    query = draw(bags)
+    candidates = []
+    kinds = ["free", "sub", "super", "disjoint", "empty", "zero"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind == "free":
+            bag = draw(bags)
+        elif kind == "sub":
+            keys = draw(st.sets(st.sampled_from(sorted(query)))) if query else set()
+            bag = {key: draw(weights) for key in sorted(keys)}
+        elif kind == "super":
+            bag = {**query, **draw(bags)}
+        elif kind == "disjoint":
+            bag = draw(st.dictionaries(st.text("xyz", min_size=1), weights, max_size=5))
+        elif kind == "empty":
+            bag = {}
+        else:
+            keys = draw(st.sets(st.text("abcdef", min_size=1, max_size=2), min_size=1))
+            bag = {key: 0.0 for key in sorted(keys)}
+        candidates.append(bag)
+    return query, candidates
+
+
+class TestBatchBagCosineParity:
+    """The batched text kernel against the pairwise oracle, bit for bit."""
+
+    @given(query_and_candidates(), st.booleans())
+    # shared keys met out of sorted order sum to a different float
+    @example(({"c": 1.0, "b": 1.0, "a": 1e16}, [{"a": 1.0, "b": 1.0, "c": 1.0}]), False)
+    def test_every_element_matches_bag_cosine(self, case, pass_norms):
+        query, candidates = case
+        norms = [bag_norm(bag) for bag in candidates] if pass_norms else None
+        try:
+            expected = [bag_cosine(query, bag).hex() for bag in candidates]
+        except ZeroDivisionError:
+            # norms whose product underflows to zero: both paths divide by it
+            with pytest.raises(ZeroDivisionError):
+                batch_bag_cosine(query, candidates, norms)
+            return
+        got = batch_bag_cosine(query, candidates, norms)
+        assert [float(score).hex() for score in got] == expected
 
 
 class TestEnsemble:
